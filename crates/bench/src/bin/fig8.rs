@@ -18,10 +18,11 @@
 //!     [--workstations W] [--slots S] [--atomic]
 //! ```
 
+use gemfi::AbortToken;
 use gemfi_bench::Args;
 use gemfi_campaign::{
     now::{run_campaign_now, NowConfig},
-    prepare_workload, run_experiment_from, FaultSampler, RunnerConfig,
+    prepare_workload, run_experiment, run_experiment_with, FaultSampler, RunnerConfig,
 };
 use gemfi_cpu::CpuKind;
 use std::time::Instant;
@@ -81,7 +82,14 @@ fn main() {
                     .expect("boots");
             assert_eq!(machine.run(), gemfi_sim::RunExit::CheckpointRequest);
             let fresh_ckpt = machine.checkpoint();
-            let _ = run_experiment_from(&fresh_ckpt, &prepared, workload.as_ref(), *spec, &runner);
+            let _ = run_experiment_with(
+                &fresh_ckpt,
+                &prepared,
+                workload.as_ref(),
+                &[*spec],
+                &runner,
+                &AbortToken::new(),
+            );
         }
         let baseline = t0.elapsed().as_secs_f64();
 
@@ -90,13 +98,7 @@ fn main() {
         let mut per_experiment = Vec::with_capacity(specs.len());
         for spec in &specs {
             let te = Instant::now();
-            let _ = run_experiment_from(
-                &prepared.checkpoint,
-                &prepared,
-                workload.as_ref(),
-                *spec,
-                &runner,
-            );
+            let _ = run_experiment(&prepared, workload.as_ref(), *spec, &runner);
             per_experiment.push(te.elapsed().as_secs_f64());
         }
         let ckpt = t1.elapsed().as_secs_f64();

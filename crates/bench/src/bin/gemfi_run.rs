@@ -36,10 +36,10 @@
 //!     [--cells int-reg,pc,l1d-cache,...] [--seed N] [--resume]
 //! ```
 
-use gemfi::{FaultConfig, GemFiEngine, Outcome};
+use gemfi::{AbortToken, FaultConfig, GemFiEngine, Outcome};
 use gemfi_bench::Args;
 use gemfi_campaign::{
-    prepare_workload, run_campaign_adaptive_now, run_campaign_now, run_experiment_multi,
+    prepare_workload, run_campaign_adaptive_now, run_campaign_now, run_experiment_with,
     AdaptiveConfig, CellKind, FaultSampler, NowConfig, RunnerConfig,
 };
 use gemfi_cpu::CpuKind;
@@ -335,7 +335,14 @@ fn main() {
         superblock: !args.has("no-superblock"),
         ..RunnerConfig::default()
     };
-    let result = run_experiment_multi(&prepared, workload.as_ref(), faults.faults(), &runner);
+    let result = run_experiment_with(
+        &prepared.checkpoint,
+        &prepared,
+        workload.as_ref(),
+        faults.faults(),
+        &runner,
+        &AbortToken::new(),
+    );
 
     println!("\ninjections:");
     if result.injections.is_empty() {

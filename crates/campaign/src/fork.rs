@@ -38,10 +38,8 @@
 //! back to a plain whole-run restore — a perf penalty, never a wrong
 //! answer.
 
-use crate::journal::{spec_digest, Journal, JournalEvent, JOURNAL_VERSION};
 use crate::runner::{
-    drive_to_completion, finish_result, watchdog_budget, ExperimentResult, PreparedWorkload,
-    RunnerConfig,
+    drive, finish, restore, watchdog_budget, ExperimentResult, PreparedWorkload, RunnerConfig,
 };
 use gemfi::{AbortToken, FaultConfig, FaultSpec, FireDistance, GemFiEngine};
 use gemfi_sim::{Machine, RunExit};
@@ -105,26 +103,6 @@ fn safe_advance(distance: FireDistance, slack: u64) -> u64 {
     }
 }
 
-/// A whole-run fallback machine: restored fresh from the checkpoint with
-/// this experiment's engine, exactly as [`crate::runner::drive_whole_run`]
-/// would build it.
-fn fallback(
-    prepared: &PreparedWorkload,
-    index: usize,
-    spec: FaultSpec,
-    runner: &RunnerConfig,
-) -> ForkedSuffix {
-    let engine = GemFiEngine::new(FaultConfig::from_specs(vec![spec]));
-    let mut machine = Machine::restore_with(
-        &prepared.checkpoint,
-        Some(runner.inject_cpu),
-        Some(watchdog_budget(&prepared.checkpoint, prepared, runner)),
-        engine,
-    );
-    machine.set_elide(runner.elide);
-    ForkedSuffix { index, forked_at: None, machine }
-}
-
 /// Plans the campaign: sprints one fault-free trunk along the shared
 /// prefix, forking each experiment's suffix shortly before its fault can
 /// fire. Experiments are visited in ascending estimated injection order so
@@ -139,13 +117,15 @@ pub fn plan_suffixes(
     runner: &RunnerConfig,
     fork: &ForkConfig,
 ) -> Vec<ForkedSuffix> {
-    let mut trunk = Machine::restore_with(
+    let budget = watchdog_budget(&prepared.checkpoint, prepared, runner);
+    let mut trunk = restore(
         &prepared.checkpoint,
+        &[],
         Some(runner.inject_cpu),
-        Some(watchdog_budget(&prepared.checkpoint, prepared, runner)),
-        GemFiEngine::new(FaultConfig::empty()),
+        budget,
+        runner,
+        &AbortToken::new(),
     );
-    trunk.set_elide(runner.elide);
 
     // Injection-order heuristic only: a bad estimate costs an overshoot
     // fallback, never a wrong result.
@@ -157,34 +137,44 @@ pub fn plan_suffixes(
     let mut trunk_done = false;
     for index in order {
         let spec = specs[index];
-        loop {
+        let forked_at = loop {
             if trunk_done {
-                out.push(fallback(prepared, index, spec, runner));
-                break;
+                break None;
             }
             let now = trunk.tick();
             let distance = trunk.hooks().fire_distance(0, now, &spec);
             if distance == FireDistance::Armed {
                 // Overshot this spec's window (ordering estimate was off, or
                 // the spec was armed from the start): replay it whole.
-                out.push(fallback(prepared, index, spec, runner));
-                break;
+                break None;
             }
             let advance = safe_advance(distance, fork.slack);
             if advance == 0 || advance == u64::MAX {
                 // Close enough to fork — or unreachable (`MAX`), in which
                 // case the fault is frozen and any fork point is exact.
-                let engine = trunk.hooks().fork_with_faults(FaultConfig::from_specs(vec![spec]));
-                let machine = trunk.fork_with(engine);
-                out.push(ForkedSuffix { index, forked_at: Some(now), machine });
-                break;
+                break Some(now);
             }
             if trunk.run_to_tick(now.saturating_add(advance)).is_some() {
                 // The trunk terminated before this spec's injection point;
                 // it and everything later replays whole.
                 trunk_done = true;
             }
-        }
+        };
+        let machine = match forked_at {
+            Some(_) => {
+                trunk.fork_with(trunk.hooks().fork_with_faults(FaultConfig::from_specs(vec![spec])))
+            }
+            // Whole-run fallback: built exactly as `drive_whole_run` builds it.
+            None => restore(
+                &prepared.checkpoint,
+                &[spec],
+                Some(runner.inject_cpu),
+                budget,
+                runner,
+                &AbortToken::new(),
+            ),
+        };
+        out.push(ForkedSuffix { index, forked_at, machine });
     }
     out
 }
@@ -199,11 +189,11 @@ pub fn drive_suffix(
     abort: &AbortToken,
 ) -> (RunExit, bool) {
     suffix.machine.hooks_mut().set_abort_token(abort.clone());
-    drive_to_completion(&mut suffix.machine, runner, abort, prepared.checkpoint.tick())
+    drive(&mut suffix.machine, runner, abort, prepared.checkpoint.tick(), None)
 }
 
 /// One driven suffix, awaiting classification.
-type Driven = (usize, Machine<GemFiEngine>, RunExit, bool);
+type Driven = (usize, Machine<GemFiEngine>, (RunExit, bool));
 
 fn drive_all(
     suffixes: Vec<ForkedSuffix>,
@@ -212,8 +202,8 @@ fn drive_all(
     fork: &ForkConfig,
 ) -> Vec<Driven> {
     let drive_one = |mut s: ForkedSuffix| -> Driven {
-        let (exit, aborted) = drive_suffix(&mut s, prepared, runner, &AbortToken::new());
-        (s.index, s.machine, exit, aborted)
+        let driven = drive_suffix(&mut s, prepared, runner, &AbortToken::new());
+        (s.index, s.machine, driven)
     };
     if fork.workers <= 1 {
         return suffixes.into_iter().map(drive_one).collect();
@@ -239,7 +229,7 @@ fn drive_all(
 /// Runs a whole campaign fork-at-injection style: plan, drive (optionally
 /// across [`ForkConfig::workers`] threads), classify. Results come back in
 /// experiment order and are element-wise equivalent to running
-/// [`crate::runner::run_experiment_from`] per spec — bit-identical machine
+/// [`crate::runner::run_experiment`] per spec — bit-identical machine
 /// states included, which `tests/fork_prefix_conformance.rs` enforces.
 pub fn run_campaign_forked(
     prepared: &PreparedWorkload,
@@ -252,48 +242,6 @@ pub fn run_campaign_forked(
     assemble(drive_all(suffixes, prepared, runner, fork), prepared, workload, specs)
 }
 
-/// [`run_campaign_forked`] with the campaign journal in the loop: a
-/// `campaign` header, one `forked` event per suffix the planner actually
-/// forked (whole-run fallbacks write none), and a `done` event per
-/// classified result — the same terminal records a lease-driven campaign
-/// writes, so existing replay tooling folds these journals unchanged.
-///
-/// # Errors
-///
-/// Propagates journal I/O errors.
-pub fn run_campaign_forked_journaled(
-    prepared: &PreparedWorkload,
-    workload: &dyn Workload,
-    specs: &[FaultSpec],
-    runner: &RunnerConfig,
-    fork: &ForkConfig,
-    journal: &mut Journal,
-) -> std::io::Result<Vec<ExperimentResult>> {
-    journal.append(&JournalEvent::Campaign {
-        version: JOURNAL_VERSION,
-        experiments: specs.len() as u64,
-        checkpoint_digest: prepared.checkpoint.digest(),
-        spec_digest: spec_digest(specs),
-    })?;
-    let suffixes = plan_suffixes(prepared, specs, runner, fork);
-    for suffix in &suffixes {
-        if let Some(tick) = suffix.forked_at {
-            journal.append(&JournalEvent::Forked { exp: suffix.index as u64, tick })?;
-        }
-    }
-    let results = assemble(drive_all(suffixes, prepared, runner, fork), prepared, workload, specs);
-    for (index, result) in results.iter().enumerate() {
-        journal.append(&JournalEvent::Done {
-            exp: index as u64,
-            attempt: 1,
-            outcome: result.outcome,
-            exit: result.exit.to_string(),
-            ticks: result.ticks,
-        })?;
-    }
-    Ok(results)
-}
-
 /// Classifies driven machines and restores experiment order.
 fn assemble(
     driven: Vec<Driven>,
@@ -301,17 +249,10 @@ fn assemble(
     workload: &dyn Workload,
     specs: &[FaultSpec],
 ) -> Vec<ExperimentResult> {
+    let origin = prepared.checkpoint.tick();
     let mut results: Vec<Option<ExperimentResult>> = specs.iter().map(|_| None).collect();
-    for (index, machine, exit, aborted) in driven {
-        let result = finish_result(
-            machine,
-            prepared.checkpoint.tick(),
-            prepared,
-            workload,
-            specs[index],
-            exit,
-            aborted,
-        );
+    for (index, machine, driven) in driven {
+        let result = finish(&machine, origin, prepared, workload, specs[index], driven, None);
         results[index] = Some(result);
     }
     results.into_iter().map(|r| r.expect("every planned experiment was driven")).collect()
@@ -321,7 +262,7 @@ fn assemble(
 mod tests {
     use super::*;
     use crate::runner::{prepare_workload, run_experiment};
-    use gemfi::{FaultBehavior, FaultLocation, FaultTiming, Outcome};
+    use gemfi::{FaultBehavior, FaultLocation, FaultTiming};
     use gemfi_workloads::pi::MonteCarloPi;
 
     fn small_pi() -> MonteCarloPi {
@@ -400,40 +341,5 @@ mod tests {
         let whole = run_experiment(&p, &w, spec, &runner);
         assert_eq!(results[0].outcome, whole.outcome);
         assert_eq!(results[0].ticks, whole.ticks);
-    }
-
-    #[test]
-    fn journaled_campaign_writes_forked_and_done_events() {
-        let w = small_pi();
-        let p = prepare_workload(&w).unwrap();
-        let runner = RunnerConfig::default();
-        let specs = vec![late_fp_flip(&p, 80)];
-        let dir = std::env::temp_dir().join(format!("gemfi-fork-journal-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut journal = Journal::open(&dir).unwrap();
-        let results = run_campaign_forked_journaled(
-            &p,
-            &w,
-            &specs,
-            &runner,
-            &ForkConfig::default(),
-            &mut journal,
-        )
-        .unwrap();
-        drop(journal);
-        assert_eq!(results.len(), 1);
-        assert_eq!(results[0].outcome, Outcome::NonPropagated);
-        let events = Journal::replay(&Journal::path_in(&dir)).unwrap();
-        assert!(matches!(events[0], JournalEvent::Campaign { experiments: 1, .. }));
-        assert!(
-            events.iter().any(|e| matches!(e, JournalEvent::Forked { exp: 0, .. })),
-            "a late fault's fork must be journaled"
-        );
-        assert!(events.iter().any(|e| matches!(e, JournalEvent::Done { exp: 0, attempt: 1, .. })));
-        // The journal replays through the standard state folding.
-        let state = crate::journal::CampaignState::from_events(&events, specs.len()).unwrap();
-        assert_eq!(state.finished(), 1);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

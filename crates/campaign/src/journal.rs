@@ -104,7 +104,8 @@ pub enum JournalEvent {
     /// was forked off the shared fault-free trunk at `tick` instead of
     /// replaying the whole prefix. Audit/perf-accounting only — replay
     /// validates the index and changes no state, and whole-run fallbacks
-    /// simply never write one.
+    /// simply never write one. No driver writes it any more; it still
+    /// parses so journals from the earlier journaled fork driver replay.
     Forked {
         /// Experiment index.
         exp: u64,

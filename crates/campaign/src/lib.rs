@@ -46,10 +46,7 @@ pub use adaptive::{
 };
 pub use classify::classify;
 pub use clock::{system_clock, Clock, SystemClock, TestClock};
-pub use fork::{
-    drive_suffix, plan_suffixes, run_campaign_forked, run_campaign_forked_journaled, ForkConfig,
-    ForkedSuffix,
-};
+pub use fork::{drive_suffix, plan_suffixes, run_campaign_forked, ForkConfig, ForkedSuffix};
 pub use journal::{CampaignState, ExpState, Journal, JournalEvent};
 pub use lease::{Lease, LeaseDir};
 pub use now::{
@@ -59,8 +56,7 @@ pub use now::{
 pub use report::OutcomeTable;
 pub use rng::SplitMix64;
 pub use runner::{
-    drive_whole_run, prepare_workload, prepare_workload_with, run_experiment, run_experiment_from,
-    run_experiment_from_with_abort, run_experiment_multi, run_experiment_multi_with_abort,
+    drive_whole_run, prepare_workload, prepare_workload_with, run_experiment, run_experiment_with,
     ExperimentResult, PreparedWorkload, RunnerConfig, DORMANT_CHUNK_FACTOR,
 };
 pub use sampler::{FaultSampler, LocationClass};
@@ -70,7 +66,7 @@ pub use stats::{
     leveugle_sample_size, proportion_ci, wilson_interval, CellDecision, CellStats, StopRule, Z_95,
     Z_99,
 };
-pub use transport::{CampaignTransport, ClaimReply, QueueContext, ReportAck, WorkAssignment};
+pub use transport::{CampaignTransport, ClaimReply, ReportAck, WorkAssignment};
 pub use wire::{ClientMsg, ServerMsg, PROTO_VERSION};
 pub use worker::{
     run_socket_worker, SocketTransport, WorkerOptions, WorkerReport, WorkloadResolver,

@@ -56,13 +56,11 @@ use crate::journal::{
 };
 use crate::lease::LeaseDir;
 use crate::report::OutcomeTable;
-use crate::runner::{
-    run_experiment_from_with_abort, ExperimentResult, PreparedWorkload, RunnerConfig,
-};
-use crate::snapshot::{run_experiment_snapshotted, SnapshotPolicy};
+use crate::runner::{ExperimentResult, PreparedWorkload, RunnerConfig};
+use crate::snapshot::SnapshotPolicy;
 use crate::transport::{SpoolTransport, WorkAssignment};
 use crate::window::{fault_path, snapshot_path, SchedulerPolicy, SeedSlot, WindowScheduler};
-use crate::worker::{drive_worker, WorkerOptions};
+use crate::worker::{drive_worker, QueueContext, WorkerOptions};
 use gemfi::{FaultConfig, FaultSpec, Outcome};
 use gemfi_sim::Checkpoint;
 use gemfi_workloads::Workload;
@@ -477,39 +475,18 @@ fn execute_window(
                     opts.chaos_panic_on = config.chaos.panic_on.clone();
                     let mut transport =
                         SpoolTransport { scheduler, share: config.share_dir.clone(), ws };
+                    let ctx = QueueContext { workload, prepared, checkpoint: &local };
+                    let policy = SnapshotPolicy::every(config.snapshot_ticks);
                     let mut execute =
                         |assignment: &WorkAssignment| -> Result<ExperimentResult, String> {
-                            let snap = snapshot_path(&config.share_dir, assignment.exp);
-                            let result = if config.snapshot_ticks > 0 {
-                                run_experiment_snapshotted(
-                                    &local,
-                                    prepared,
-                                    workload,
-                                    assignment.spec,
-                                    runner,
-                                    &assignment.abort,
-                                    &snap,
-                                    SnapshotPolicy::every(config.snapshot_ticks),
-                                )
-                            } else {
-                                run_experiment_from_with_abort(
-                                    &local,
-                                    prepared,
-                                    workload,
-                                    assignment.spec,
-                                    runner,
-                                    &assignment.abort,
-                                )
-                            };
-                            // A verdict was reached: the crash-resume state
-                            // is spent. Aborted runs keep theirs — the
-                            // retry resumes from it.
-                            if config.snapshot_ticks > 0
-                                && result.outcome != Outcome::Infrastructure
-                            {
-                                let _ = std::fs::remove_file(&snap);
-                            }
-                            Ok(result)
+                            let snap = policy
+                                .enabled()
+                                .then(|| snapshot_path(&config.share_dir, assignment.exp));
+                            Ok(ctx.execute(
+                                assignment,
+                                runner,
+                                snap.as_deref().map(|p| (p, policy)),
+                            ))
                         };
                     drive_worker(&mut transport, &opts, &mut execute).map(|_| ())
                 }));

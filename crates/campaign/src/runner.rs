@@ -167,6 +167,33 @@ pub(crate) fn watchdog_budget(
         .saturating_add(1_000_000)
 }
 
+/// Builds an experiment machine: a fresh engine holding `faults` and
+/// `abort` (the `fi_read_init_all` restore semantics: every experiment
+/// re-reads its fault configuration), `checkpoint` restored in place with
+/// the CPU override and the absolute watchdog `budget` (corrupted control
+/// flow loops forever), then every [`RunnerConfig`] knob applied.
+///
+/// Every machine the crate drives — whole runs, multi-fault runs, snapshot
+/// fresh starts and resumes, the fork trunk and its whole-run fallbacks —
+/// comes from here, so a knob applied to one path is applied to all. The
+/// machine-level knobs are never serialized, so skipping this step on any
+/// path silently runs it with the checkpoint's defaults.
+pub(crate) fn restore(
+    checkpoint: &Checkpoint,
+    faults: &[FaultSpec],
+    cpu: Option<CpuKind>,
+    budget: u64,
+    config: &RunnerConfig,
+    abort: &AbortToken,
+) -> Machine<GemFiEngine> {
+    let mut engine = GemFiEngine::new(FaultConfig::from_specs(faults.to_vec()));
+    engine.set_abort_token(abort.clone());
+    let mut machine = Machine::restore_with(checkpoint, cpu, Some(budget), engine);
+    machine.set_elide(config.elide);
+    machine.set_superblock(config.superblock);
+    machine
+}
+
 /// The first scheduling boundary strictly after `tick` on the absolute grid
 /// `{origin + n·granularity}`.
 ///
@@ -182,11 +209,14 @@ fn next_boundary(tick: u64, origin: u64, granularity: u64) -> u64 {
     origin.saturating_add((rel / granularity + 1).saturating_mul(granularity))
 }
 
+/// A per-chunk hook on a driven machine: sees the machine and whether the
+/// CPU switch has happened, and must not advance the machine.
+pub(crate) type ChunkObserver<'a> = dyn FnMut(&Machine<GemFiEngine>, bool) + 'a;
+
 /// Drives a restored machine to completion: the switch-grace/model-switch
 /// protocol, horizon-aware chunked scheduling, and abort polling — the one
-/// loop shared by the single-fault, multi-fault, and forked-suffix
-/// experiment paths. `origin` is the checkpoint tick the experiment
-/// descends from; pre-switch boundaries are anchored to it (see
+/// loop every experiment path runs. `origin` is the checkpoint tick the
+/// experiment descends from; pre-switch boundaries are anchored to it (see
 /// [`next_boundary`]).
 ///
 /// Pre-switch polling always runs at the fine granularity, even while the
@@ -196,33 +226,25 @@ fn next_boundary(tick: u64, origin: u64, granularity: u64) -> u64 {
 /// queued) would make differently. Once switched, boundaries are
 /// state-neutral and the dormant coarsening is pure abort-latency tuning.
 ///
+/// `observer`, when given, is invoked once per scheduling chunk; the
+/// mid-run snapshot policy ([`crate::snapshot`]) hangs off it.
+///
 /// Returns the terminal exit and whether the abort token cut the run short.
-pub(crate) fn drive_to_completion(
+pub(crate) fn drive(
     machine: &mut Machine<GemFiEngine>,
     config: &RunnerConfig,
     abort: &AbortToken,
     origin: u64,
-) -> (RunExit, bool) {
-    drive_to_completion_observed(machine, config, abort, origin, &mut |_, _| {})
-}
-
-/// [`drive_to_completion`] with an observer invoked once per scheduling
-/// chunk (with the machine and whether the CPU switch has happened). The
-/// mid-run snapshot policy ([`crate::snapshot`]) hangs off this hook; the
-/// observer must not advance the machine.
-pub(crate) fn drive_to_completion_observed(
-    machine: &mut Machine<GemFiEngine>,
-    config: &RunnerConfig,
-    abort: &AbortToken,
-    origin: u64,
-    observer: &mut dyn FnMut(&Machine<GemFiEngine>, bool),
+    mut observer: Option<&mut ChunkObserver<'_>>,
 ) -> (RunExit, bool) {
     let mut switched = config.inject_cpu == config.finish_cpu;
     loop {
         if abort.is_aborted() {
             return (RunExit::Watchdog, true);
         }
-        observer(machine, switched);
+        if let Some(observe) = observer.as_mut() {
+            observe(machine, switched);
+        }
         if !switched && machine.hooks_mut().pending_faults() == 0 {
             // The fault fired (or expired): give the affected instruction
             // time to commit or squash, then fast-forward in the cheap model.
@@ -255,104 +277,23 @@ pub(crate) fn drive_to_completion_observed(
     }
 }
 
-/// Restores from `checkpoint` with a fresh single-fault engine and drives
-/// the whole experiment — everything [`run_experiment_from_with_abort`]
-/// does short of classification. The fork-at-injection conformance suite
-/// compares this machine's terminal state bit-for-bit against a forked
-/// suffix's, so the full machine comes back, not just the result.
-pub fn drive_whole_run(
-    checkpoint: &Checkpoint,
-    prepared: &PreparedWorkload,
-    spec: FaultSpec,
-    config: &RunnerConfig,
-    abort: &AbortToken,
-) -> (Machine<GemFiEngine>, RunExit, bool) {
-    let mut engine = GemFiEngine::new(FaultConfig::from_specs(vec![spec]));
-    engine.set_abort_token(abort.clone());
-    let mut machine = Machine::restore_with(
-        checkpoint,
-        Some(config.inject_cpu),
-        Some(watchdog_budget(checkpoint, prepared, config)),
-        engine,
-    );
-    machine.set_elide(config.elide);
-    machine.set_superblock(config.superblock);
-    let (exit, aborted) = drive_to_completion(&mut machine, config, abort, checkpoint.tick());
-    (machine, exit, aborted)
-}
-
-/// Runs one experiment from an explicit checkpoint (the NoW path passes a
-/// workstation-local copy).
-pub fn run_experiment_from(
-    checkpoint: &Checkpoint,
+/// Classifies a driven machine into an [`ExperimentResult`]. `driven` is
+/// [`drive`]'s terminal exit and abort flag; an aborted run classifies as
+/// [`Outcome::Infrastructure`] (the harness gave up — the guest's own
+/// behavior is unknown). `stored_records` replaces the engine's injection
+/// records: a run resumed from a mid-run snapshot ([`crate::snapshot`])
+/// finishes on a machine whose engine never saw the injection, so the
+/// records that classify it come from the snapshot.
+pub(crate) fn finish(
+    machine: &Machine<GemFiEngine>,
+    origin: u64,
     prepared: &PreparedWorkload,
     workload: &dyn Workload,
     spec: FaultSpec,
-    config: &RunnerConfig,
+    (exit, aborted): (RunExit, bool),
+    stored_records: Option<Vec<InjectionRecord>>,
 ) -> ExperimentResult {
-    run_experiment_from_with_abort(checkpoint, prepared, workload, spec, config, &AbortToken::new())
-}
-
-/// [`run_experiment_from`] with an external abort token checked between
-/// scheduling chunks. The campaign's lease reaper raises the token when
-/// this experiment's lease expires; the run then stops at the next chunk
-/// boundary and classifies as [`Outcome::Infrastructure`] (the harness gave
-/// up — the guest's own behavior is unknown).
-pub fn run_experiment_from_with_abort(
-    checkpoint: &Checkpoint,
-    prepared: &PreparedWorkload,
-    workload: &dyn Workload,
-    spec: FaultSpec,
-    config: &RunnerConfig,
-    abort: &AbortToken,
-) -> ExperimentResult {
-    // `fi_read_init_all` restore semantics: a fresh engine re-reads the
-    // fault configuration for this experiment. The shared checkpoint is
-    // restored in place — no per-experiment deep copy; the watchdog bound
-    // (corrupted control flow loops forever, so cap the run relative to
-    // the fault-free kernel time) rides along as a restore override.
-    let (machine, exit, aborted) = drive_whole_run(checkpoint, prepared, spec, config, abort);
-    finish_result(machine, checkpoint.tick(), prepared, workload, spec, exit, aborted)
-}
-
-/// Classification and result assembly shared by the experiment paths.
-pub(crate) fn finish_result(
-    machine: Machine<GemFiEngine>,
-    checkpoint_tick: u64,
-    prepared: &PreparedWorkload,
-    workload: &dyn Workload,
-    spec: FaultSpec,
-    exit: RunExit,
-    aborted: bool,
-) -> ExperimentResult {
-    let injections = machine.hooks().records().to_vec();
-    finish_result_with_records(
-        machine,
-        checkpoint_tick,
-        prepared,
-        workload,
-        spec,
-        exit,
-        aborted,
-        injections,
-    )
-}
-
-/// [`finish_result`] with the injection records supplied by the caller. A
-/// run resumed from a mid-run snapshot ([`crate::snapshot`]) finishes on a
-/// machine whose engine never saw the injection — the records that classify
-/// it were persisted in the snapshot and are threaded back in here.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn finish_result_with_records(
-    machine: Machine<GemFiEngine>,
-    checkpoint_tick: u64,
-    prepared: &PreparedWorkload,
-    workload: &dyn Workload,
-    spec: FaultSpec,
-    exit: RunExit,
-    aborted: bool,
-    injections: Vec<InjectionRecord>,
-) -> ExperimentResult {
+    let injections = stored_records.unwrap_or_else(|| machine.hooks().records().to_vec());
     let output = machine
         .mem()
         .read_slice(prepared.guest.output_addr(), prepared.guest.output_len)
@@ -363,7 +304,7 @@ pub(crate) fn finish_result_with_records(
         classify(workload, &prepared.golden.bytes, exit, &output, &injections)
     };
     let injection_fraction = injections.first().map(|r| {
-        let rel = r.tick.saturating_sub(checkpoint_tick) as f64;
+        let rel = r.tick.saturating_sub(origin) as f64;
         (rel / prepared.kernel_ticks.max(1) as f64).min(1.0)
     });
     ExperimentResult {
@@ -377,43 +318,52 @@ pub(crate) fn finish_result_with_records(
     }
 }
 
-/// Runs one experiment with *multiple* simultaneous faults (multi-bit
-/// upsets, or the Vdd-scaling model's per-run fault population). The
-/// outcome is classified exactly like a single-fault experiment.
-pub fn run_experiment_multi(
+/// Restores from `checkpoint` with a fresh single-fault engine and drives
+/// the whole experiment — everything [`run_experiment_with`] does short of
+/// classification. The fork-at-injection conformance suite compares this
+/// machine's terminal state bit-for-bit against a forked suffix's, so the
+/// full machine comes back, not just the result.
+pub fn drive_whole_run(
+    checkpoint: &Checkpoint,
     prepared: &PreparedWorkload,
-    workload: &dyn Workload,
-    specs: &[FaultSpec],
+    spec: FaultSpec,
     config: &RunnerConfig,
-) -> ExperimentResult {
-    run_experiment_multi_with_abort(prepared, workload, specs, config, &AbortToken::new())
+    abort: &AbortToken,
+) -> (Machine<GemFiEngine>, RunExit, bool) {
+    let budget = watchdog_budget(checkpoint, prepared, config);
+    let mut machine = restore(checkpoint, &[spec], Some(config.inject_cpu), budget, config, abort);
+    let (exit, aborted) = drive(&mut machine, config, abort, checkpoint.tick(), None);
+    (machine, exit, aborted)
 }
 
-/// [`run_experiment_multi`] with an external abort token, so multi-fault
-/// experiments can be reaped by the same lease watchdog as single-fault
-/// ones. A raised token stops the run at the next chunk boundary and
-/// classifies as [`Outcome::Infrastructure`].
-pub fn run_experiment_multi_with_abort(
+/// Runs one experiment from `checkpoint` with every fault in `faults`
+/// injected together: one fault for an ordinary experiment, several for
+/// multi-bit upsets or the Vdd-scaling model's per-run fault population.
+/// The NoW path passes a workstation-local checkpoint copy, the socket
+/// worker its fetched image; everything else passes `prepared.checkpoint`.
+/// The result's `spec` is the first fault.
+///
+/// `abort` is checked between scheduling chunks. The campaign's lease
+/// reaper (or a socket worker's heartbeat loop) raises it when the lease is
+/// lost; the run then stops at the next chunk boundary and classifies as
+/// [`Outcome::Infrastructure`].
+///
+/// # Panics
+///
+/// Panics when `faults` is empty.
+pub fn run_experiment_with(
+    checkpoint: &Checkpoint,
     prepared: &PreparedWorkload,
     workload: &dyn Workload,
-    specs: &[FaultSpec],
+    faults: &[FaultSpec],
     config: &RunnerConfig,
     abort: &AbortToken,
 ) -> ExperimentResult {
-    assert!(!specs.is_empty(), "at least one fault");
-    let mut engine = GemFiEngine::new(FaultConfig::from_specs(specs.to_vec()));
-    engine.set_abort_token(abort.clone());
-    let mut machine = Machine::restore_with(
-        &prepared.checkpoint,
-        Some(config.inject_cpu),
-        Some(watchdog_budget(&prepared.checkpoint, prepared, config)),
-        engine,
-    );
-    machine.set_elide(config.elide);
-    machine.set_superblock(config.superblock);
-    let (exit, aborted) =
-        drive_to_completion(&mut machine, config, abort, prepared.checkpoint.tick());
-    finish_result(machine, prepared.checkpoint.tick(), prepared, workload, specs[0], exit, aborted)
+    assert!(!faults.is_empty(), "at least one fault");
+    let budget = watchdog_budget(checkpoint, prepared, config);
+    let mut machine = restore(checkpoint, faults, Some(config.inject_cpu), budget, config, abort);
+    let driven = drive(&mut machine, config, abort, checkpoint.tick(), None);
+    finish(&machine, checkpoint.tick(), prepared, workload, faults[0], driven, None)
 }
 
 /// Runs one experiment using the prepared workload's own checkpoint.
@@ -423,7 +373,14 @@ pub fn run_experiment(
     spec: FaultSpec,
     config: &RunnerConfig,
 ) -> ExperimentResult {
-    run_experiment_from(&prepared.checkpoint, prepared, workload, spec, config)
+    run_experiment_with(
+        &prepared.checkpoint,
+        prepared,
+        workload,
+        &[spec],
+        config,
+        &AbortToken::new(),
+    )
 }
 
 #[cfg(test)]
@@ -553,18 +510,23 @@ mod tests {
             behavior: FaultBehavior::Flip(40),
             occurrences: 1,
         };
+        let second = FaultSpec { location: FaultLocation::FpReg { core: 0, reg: 21 }, ..spec };
         let abort = AbortToken::new();
         abort.abort();
-        let r = run_experiment_from_with_abort(
-            &p.checkpoint,
-            &p,
-            &w,
-            spec,
-            &RunnerConfig::default(),
-            &abort,
-        );
-        assert_eq!(r.outcome, Outcome::Infrastructure, "{:?}", r.exit);
-        assert_eq!(r.exit, RunExit::Watchdog);
+        // Single-fault and multi-fault runs share the abort path.
+        for faults in [vec![spec], vec![spec, second]] {
+            let r = run_experiment_with(
+                &p.checkpoint,
+                &p,
+                &w,
+                &faults,
+                &RunnerConfig::default(),
+                &abort,
+            );
+            assert_eq!(r.outcome, Outcome::Infrastructure, "{} faults: {:?}", faults.len(), r.exit);
+            assert_eq!(r.exit, RunExit::Watchdog);
+            assert_eq!(r.spec, spec);
+        }
     }
 
     #[test]

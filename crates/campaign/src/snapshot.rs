@@ -6,7 +6,7 @@
 //! engine reports itself fully dormant: at that point every injection
 //! record's propagation flags (`consumed`/`overwritten`) are final, so the
 //! records can be persisted alongside the machine image and threaded back
-//! into classification on resume ([`crate::runner::finish_result_with_records`]).
+//! into classification on resume ([`crate::runner::finish`]).
 //! Before dormancy the engine still holds live watches that would mutate
 //! the records, and a snapshot would freeze them mid-observation.
 //!
@@ -25,13 +25,12 @@
 //! to wrong results.
 
 use crate::runner::{
-    drive_to_completion_observed, finish_result_with_records, watchdog_budget, ExperimentResult,
-    PreparedWorkload, RunnerConfig,
+    drive, finish, restore, watchdog_budget, ExperimentResult, PreparedWorkload, RunnerConfig,
 };
 use crate::wire::{json_escape, parse_flat_object};
 use gemfi::{AbortToken, FaultConfig, FaultSpec, GemFiEngine, InjectionRecord, Stage};
 use gemfi_isa::codec::Codec;
-use gemfi_sim::{Checkpoint, Machine, RunExit};
+use gemfi_sim::{Checkpoint, Machine};
 use gemfi_workloads::Workload;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::path::Path;
@@ -186,8 +185,8 @@ pub(crate) fn load_snapshot(path: &Path) -> Result<Snapshot, String> {
 /// valid snapshot for this exact experiment (same spec, same origin
 /// checkpoint) already exists, the run resumes from it instead of replaying
 /// from `checkpoint` — the crashed-worker recovery path. The snapshot file
-/// is left in place on completion; the caller deletes it once the result is
-/// durably reported.
+/// is left in place on completion; the worker deletes it once the run has
+/// reached a verdict.
 #[allow(clippy::too_many_arguments)] // mirrors run_experiment + the snapshot pair
 pub fn run_experiment_snapshotted(
     checkpoint: &Checkpoint,
@@ -199,53 +198,59 @@ pub fn run_experiment_snapshotted(
     snap_path: &Path,
     policy: SnapshotPolicy,
 ) -> ExperimentResult {
-    let origin_digest = checkpoint.digest();
-    if policy.enabled() && snap_path.exists() {
-        if let Ok(snap) = load_snapshot(snap_path) {
-            if snap.spec == spec.to_string() && snap.origin_digest == origin_digest {
-                return resume_from(
-                    snap,
-                    checkpoint.tick(),
-                    origin_digest,
-                    prepared,
-                    workload,
-                    spec,
-                    config,
-                    abort,
-                    snap_path,
-                    policy,
-                );
-            }
-        }
-        // Stale or foreign snapshot: start over rather than trust it.
-        let _ = std::fs::remove_file(snap_path);
-    }
-
-    let mut engine = GemFiEngine::new(FaultConfig::from_specs(vec![spec]));
-    engine.set_abort_token(abort.clone());
-    let budget = watchdog_budget(checkpoint, prepared, config);
-    let mut machine =
-        Machine::restore_with(checkpoint, Some(config.inject_cpu), Some(budget), engine);
-    machine.set_elide(config.elide);
-    machine.set_superblock(config.superblock);
     let origin = checkpoint.tick();
-    let mut observer = snapshot_observer(policy, origin, origin_digest, budget, spec, snap_path);
-    let (exit, aborted) =
-        drive_to_completion_observed(&mut machine, config, abort, origin, &mut observer);
-    finish_result(machine, origin, prepared, workload, spec, exit, aborted, None)
+    let origin_digest = checkpoint.digest();
+    let snap = if policy.enabled() && snap_path.exists() {
+        let snap = load_snapshot(snap_path)
+            .ok()
+            .filter(|s| s.spec == spec.to_string() && s.origin_digest == origin_digest);
+        if snap.is_none() {
+            // Stale or foreign snapshot: start over rather than trust it.
+            let _ = std::fs::remove_file(snap_path);
+        }
+        snap
+    } else {
+        None
+    };
+    let (mut machine, drive_config, budget, stored_records) = match snap {
+        // The snapshot was captured post-switch and dormant: the fault has
+        // already fired, so the resumed engine carries no faults; the
+        // persisted records classify the run. `None` keeps the snapshot's
+        // CPU mode (the finish model) and the stored absolute budget keeps
+        // the watchdog anchored to the original run, not restarted from the
+        // snapshot. Driving with inject == finish keeps the loop from
+        // re-entering the grace/switch protocol.
+        Some(snap) => (
+            restore(&snap.checkpoint, &[], None, snap.budget, config, abort),
+            RunnerConfig { inject_cpu: config.finish_cpu, ..*config },
+            snap.budget,
+            Some(snap.records),
+        ),
+        None => {
+            let budget = watchdog_budget(checkpoint, prepared, config);
+            let machine =
+                restore(checkpoint, &[spec], Some(config.inject_cpu), budget, config, abort);
+            (machine, *config, budget, None)
+        }
+    };
+    let mut observer =
+        snapshot_observer(policy, machine.tick(), origin_digest, budget, spec, snap_path);
+    let driven = drive(&mut machine, &drive_config, abort, origin, Some(&mut observer));
+    finish(&machine, origin, prepared, workload, spec, driven, stored_records)
 }
 
 /// The per-chunk capture hook: snapshot when the run is switched, dormant,
-/// and at least `interval_ticks` past the previous capture.
+/// and at least `interval_ticks` past the previous capture (or past
+/// `start`, the tick the run was restored at).
 fn snapshot_observer<'a>(
     policy: SnapshotPolicy,
-    origin: u64,
+    start: u64,
     origin_digest: u64,
     budget: u64,
     spec: FaultSpec,
     snap_path: &'a Path,
 ) -> impl FnMut(&Machine<GemFiEngine>, bool) + 'a {
-    let mut last_capture = origin;
+    let mut last_capture = start;
     move |machine: &Machine<GemFiEngine>, switched: bool| {
         if !policy.enabled() || !switched {
             return;
@@ -265,63 +270,6 @@ fn snapshot_observer<'a>(
             last_capture = now;
         }
     }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn resume_from(
-    snap: Snapshot,
-    origin: u64,
-    origin_digest: u64,
-    prepared: &PreparedWorkload,
-    workload: &dyn Workload,
-    spec: FaultSpec,
-    config: &RunnerConfig,
-    abort: &AbortToken,
-    snap_path: &Path,
-    policy: SnapshotPolicy,
-) -> ExperimentResult {
-    // The snapshot was captured post-switch and dormant: the fault has
-    // already fired, so the resumed engine carries no faults; the persisted
-    // records classify the run. `None` keeps the snapshot's CPU mode (the
-    // finish model) and the stored absolute budget keeps the watchdog
-    // anchored to the original run, not restarted from the snapshot.
-    let mut engine = GemFiEngine::new(FaultConfig::empty());
-    engine.set_abort_token(abort.clone());
-    let mut machine = Machine::restore_with(&snap.checkpoint, None, Some(snap.budget), engine);
-    machine.set_elide(config.elide);
-    machine.set_superblock(config.superblock);
-    // Already switched: drive with inject == finish so the loop never
-    // re-enters the grace/switch protocol.
-    let resume_cfg = RunnerConfig { inject_cpu: config.finish_cpu, ..*config };
-    let mut observer = snapshot_observer(
-        policy,
-        snap.checkpoint.tick(),
-        origin_digest,
-        snap.budget,
-        spec,
-        snap_path,
-    );
-    let (exit, aborted) =
-        drive_to_completion_observed(&mut machine, &resume_cfg, abort, origin, &mut observer);
-    finish_result(machine, origin, prepared, workload, spec, exit, aborted, Some(snap.records))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn finish_result(
-    machine: Machine<GemFiEngine>,
-    origin: u64,
-    prepared: &PreparedWorkload,
-    workload: &dyn Workload,
-    spec: FaultSpec,
-    exit: RunExit,
-    aborted: bool,
-    stored_records: Option<Vec<InjectionRecord>>,
-) -> ExperimentResult {
-    let records = match stored_records {
-        Some(r) => r,
-        None => machine.hooks().records().to_vec(),
-    };
-    finish_result_with_records(machine, origin, prepared, workload, spec, exit, aborted, records)
 }
 
 #[cfg(test)]

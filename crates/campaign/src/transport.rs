@@ -56,19 +56,6 @@ pub enum ClaimReply {
 /// Whether a report landed or was dropped as a zombie.
 pub use crate::window::ReportAck;
 
-/// Execution context of one queue: what a worker needs besides the
-/// assignment itself. The checkpoint is the restore source (a worker-local
-/// copy for the spool backend, the digest-cached fetched image for the
-/// socket backend).
-pub struct QueueContext<'w> {
-    /// The workload being campaigned.
-    pub workload: &'w dyn gemfi_workloads::Workload,
-    /// Prepared golden-run context (reference output, watchdog timing).
-    pub prepared: &'w crate::runner::PreparedWorkload,
-    /// The checkpoint to restore experiments from.
-    pub checkpoint: Arc<gemfi_sim::Checkpoint>,
-}
-
 /// Keeps an attempt's liveness machinery (the socket backend's heartbeat
 /// thread) running for exactly the duration of the execution; dropping the
 /// guard stops it.

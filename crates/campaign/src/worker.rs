@@ -22,9 +22,7 @@
 //! distinct digest (shared across queues that campaign the same prepared
 //! workload).
 
-use crate::runner::{
-    run_experiment_from_with_abort, ExperimentResult, PreparedWorkload, RunnerConfig,
-};
+use crate::runner::{run_experiment_with, ExperimentResult, PreparedWorkload, RunnerConfig};
 use crate::snapshot::{run_experiment_snapshotted, SnapshotPolicy};
 use crate::transport::{AttemptGuard, CampaignTransport, ClaimReply, ReportAck, WorkAssignment};
 use crate::wire::{
@@ -38,7 +36,7 @@ use std::collections::HashMap;
 use std::io::{BufReader, Error, ErrorKind};
 use std::net::TcpStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -108,6 +106,47 @@ pub(crate) fn panic_message(panic: &Box<dyn std::any::Any + Send>) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_string()
+    }
+}
+
+/// What a worker needs, besides the assignment, to run one queue's
+/// experiments — for either backend.
+pub(crate) struct QueueContext<'w> {
+    /// The workload being campaigned.
+    pub(crate) workload: &'w dyn Workload,
+    /// Prepared golden-run context (reference output, watchdog timing).
+    pub(crate) prepared: &'w PreparedWorkload,
+    /// The checkpoint experiments restore from: the workstation-local copy
+    /// of the share's checkpoint (spool, Sec. III-E step 3) or the
+    /// digest-checked image fetched from the server (socket).
+    pub(crate) checkpoint: &'w Checkpoint,
+}
+
+impl QueueContext<'_> {
+    /// Runs one assignment: with mid-run snapshots when `snapshot` names a
+    /// file and a policy, as a plain run otherwise. Once the run reaches a
+    /// verdict its snapshot is spent and deleted; an aborted run keeps it,
+    /// so the retry resumes from it.
+    pub(crate) fn execute(
+        &self,
+        assignment: &WorkAssignment,
+        runner: &RunnerConfig,
+        snapshot: Option<(&Path, SnapshotPolicy)>,
+    ) -> ExperimentResult {
+        let QueueContext { workload, prepared, checkpoint } = *self;
+        let (spec, abort) = (assignment.spec, &assignment.abort);
+        let result = match snapshot {
+            Some((path, policy)) => run_experiment_snapshotted(
+                checkpoint, prepared, workload, spec, runner, abort, path, policy,
+            ),
+            None => run_experiment_with(checkpoint, prepared, workload, &[spec], runner, abort),
+        };
+        if let Some((path, _)) = snapshot {
+            if result.outcome != Outcome::Infrastructure {
+                let _ = std::fs::remove_file(path);
+            }
+        }
+        result
     }
 }
 
@@ -435,23 +474,17 @@ impl CampaignTransport for SocketTransport {
 /// does not know how to reconstruct.
 pub type WorkloadResolver = dyn Fn(&str, &str) -> Option<Box<dyn Workload>>;
 
-/// Everything a socket worker rebuilds per queue from the server's `meta`
-/// reply: the workload (via the resolver), the prepared context, and the
-/// checkpoint (fetched once per distinct digest).
-struct QueueContext {
-    workload: Box<dyn Workload>,
-    prepared: PreparedWorkload,
-}
-
 /// Fetches queue metadata and the checkpoint image over dedicated
-/// connections, rebuilding the worker-local execution context.
+/// connections, rebuilding what a [`QueueContext`] borrows: the workload
+/// (via the resolver) and the prepared context, whose checkpoint is the
+/// fetched image (once per distinct digest).
 fn fetch_queue_context(
     addr: &str,
     worker: &str,
     queue: &str,
     resolver: &WorkloadResolver,
     checkpoints: &mut HashMap<u64, Arc<Checkpoint>>,
-) -> Result<QueueContext, String> {
+) -> Result<(Box<dyn Workload>, PreparedWorkload), String> {
     let mut conn = open_conn(addr, worker).map_err(|e| format!("meta connect: {e}"))?;
     let meta = exchange(&mut conn, &ClientMsg::Meta { queue: queue.to_string() })
         .map_err(|e| format!("meta request: {e}"))?;
@@ -507,7 +540,7 @@ fn fetch_queue_context(
         boot_ticks,
         kernel_ticks,
     };
-    Ok(QueueContext { workload, prepared })
+    Ok((workload, prepared))
 }
 
 /// Runs one remote worker against the campaign server at `addr` until the
@@ -525,7 +558,7 @@ pub fn run_socket_worker(
     opts: &WorkerOptions,
 ) -> std::io::Result<WorkerReport> {
     let mut transport = SocketTransport::new(addr, opts);
-    let mut contexts: HashMap<String, QueueContext> = HashMap::new();
+    let mut contexts: HashMap<String, (Box<dyn Workload>, PreparedWorkload)> = HashMap::new();
     let mut checkpoints: HashMap<u64, Arc<Checkpoint>> = HashMap::new();
     let addr = addr.to_string();
     let name = opts.name.clone();
@@ -535,43 +568,21 @@ pub fn run_socket_worker(
 
     let mut execute = move |assignment: &WorkAssignment| -> Result<ExperimentResult, String> {
         if !contexts.contains_key(&assignment.queue) {
-            let ctx =
+            let fetched =
                 fetch_queue_context(&addr, &name, &assignment.queue, resolver, &mut checkpoints)?;
-            contexts.insert(assignment.queue.clone(), ctx);
+            contexts.insert(assignment.queue.clone(), fetched);
         }
-        let ctx = contexts.get(&assignment.queue).expect("context just inserted");
+        let (workload, prepared) = contexts.get(&assignment.queue).expect("context just inserted");
+        let ctx = QueueContext {
+            workload: workload.as_ref(),
+            prepared,
+            checkpoint: &prepared.checkpoint,
+        };
         let snap_path = scratch
             .as_ref()
             .filter(|_| snapshot.enabled())
             .map(|dir| dir.join(format!("{}-exp{:05}.snap", assignment.queue, assignment.exp)));
-        let result = match &snap_path {
-            Some(path) => run_experiment_snapshotted(
-                &ctx.prepared.checkpoint,
-                &ctx.prepared,
-                ctx.workload.as_ref(),
-                assignment.spec,
-                &runner,
-                &assignment.abort,
-                path,
-                snapshot,
-            ),
-            None => run_experiment_from_with_abort(
-                &ctx.prepared.checkpoint,
-                &ctx.prepared,
-                ctx.workload.as_ref(),
-                assignment.spec,
-                &runner,
-                &assignment.abort,
-            ),
-        };
-        // The run reached a verdict: its snapshot has served its purpose.
-        // Aborted runs keep theirs — the retry resumes from it.
-        if result.outcome != Outcome::Infrastructure {
-            if let Some(path) = &snap_path {
-                let _ = std::fs::remove_file(path);
-            }
-        }
-        Ok(result)
+        Ok(ctx.execute(assignment, &runner, snap_path.as_deref().map(|path| (path, snapshot))))
     };
     drive_worker(&mut transport, opts, &mut execute)
 }

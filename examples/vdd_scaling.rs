@@ -12,9 +12,9 @@
 //! cargo run --release --example vdd_scaling
 //! ```
 
-use gemfi::VddModel;
+use gemfi::{AbortToken, VddModel};
 use gemfi_campaign::{
-    prepare_workload, run_experiment_multi, FaultSampler, LocationClass, RunnerConfig,
+    prepare_workload, run_experiment_with, FaultSampler, LocationClass, RunnerConfig,
 };
 use gemfi_cpu::CpuKind;
 use gemfi_workloads::pi::MonteCarloPi;
@@ -64,7 +64,14 @@ fn main() {
                 continue;
             }
             // Inject this run's whole fault population at once.
-            let result = run_experiment_multi(&prepared, &workload, &specs, &runner);
+            let result = run_experiment_with(
+                &prepared.checkpoint,
+                &prepared,
+                &workload,
+                &specs,
+                &runner,
+                &AbortToken::new(),
+            );
             match result.outcome {
                 o if o.is_acceptable() => acceptable += 1,
                 gemfi::Outcome::Crashed => crashed += 1,

@@ -76,6 +76,15 @@ fn specs_for(p: &PreparedWorkload) -> Vec<FaultSpec> {
             behavior: FaultBehavior::Skip,
             occurrences: 1,
         },
+        // Armed the moment its thread activates: never forkable, so the
+        // planner must fall back to a whole-run restore.
+        FaultSpec {
+            location: FaultLocation::FpReg { core: 0, reg: 20 },
+            thread: 0,
+            timing: FaultTiming::Instructions(0),
+            behavior: FaultBehavior::Flip(40),
+            occurrences: 1,
+        },
     ]
 }
 
@@ -101,6 +110,10 @@ fn conformance(model: CpuKind) {
                 assert!(
                     planned.iter().any(|s| s.forked_at.is_some()),
                     "{model}: no suffix forked — the matrix would be vacuous"
+                );
+                assert!(
+                    planned.iter().any(|s| s.forked_at.is_none()),
+                    "{model}: no whole-run fallback — the matrix would not cover it"
                 );
                 for mut suffix in planned {
                     let spec = specs[suffix.index];
@@ -143,6 +156,16 @@ fn conformance(model: CpuKind) {
                             == whole.mem().read_slice(0, size).expect("memory"),
                         "{tag}: physical memory differs"
                     );
+                    if suffix.forked_at.is_none() {
+                        // A fallback is a whole run: it must be built with
+                        // the same knobs, so even the tick-invisible
+                        // translation counters agree.
+                        assert_eq!(
+                            suffix.machine.mem().stats().superblock,
+                            whole.mem().stats().superblock,
+                            "{tag}: fallback ran with different knobs"
+                        );
+                    }
                 }
             }
         }
