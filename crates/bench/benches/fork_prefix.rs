@@ -11,6 +11,11 @@
 //! identically: fork-at-injection is a performance strategy, not a semantic
 //! one (`tests/fork_prefix_conformance.rs` pins the bit-level half).
 //!
+//! A second, untimed arm plans a seeded `sample_any` population of the same
+//! size — the real mixed fault set — and asserts that every suffix forks.
+//! It is not timed because on pi a mixed suffix is long relative to the
+//! run, so its end-to-end gain is small; its fork count is what it checks.
+//!
 //! Options: `--experiments N` (experiments per timing sample, default 24),
 //! `--points N` (Monte-Carlo kernel size, default 400), `--samples N`
 //! (timing samples per mode, default 5), `--out PATH` (JSON report path,
@@ -19,7 +24,9 @@
 use gemfi::{FaultBehavior, FaultLocation, FaultSpec, FaultTiming, Outcome};
 use gemfi_bench::{time_it_secs, Args};
 use gemfi_campaign::fork::{plan_suffixes, run_campaign_forked, ForkConfig};
-use gemfi_campaign::{prepare_workload, run_experiment, PreparedWorkload, RunnerConfig};
+use gemfi_campaign::{
+    prepare_workload, run_experiment, FaultSampler, PreparedWorkload, RunnerConfig,
+};
 use gemfi_workloads::pi::MonteCarloPi;
 use gemfi_workloads::Workload;
 
@@ -74,12 +81,17 @@ fn json_report(
     modes: &[Mode; 2],
     forked: usize,
     fallbacks: usize,
+    mixed_forked: usize,
+    mixed_fallbacks: usize,
 ) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"bench\": \"fork_prefix\",\n  \"workload\": \"pi\",\n");
     out.push_str(&format!("  \"samples\": {samples},\n  \"points\": {points},\n"));
     out.push_str(&format!(
         "  \"forked_suffixes\": {forked},\n  \"whole_run_fallbacks\": {fallbacks},\n"
+    ));
+    out.push_str(&format!(
+        "  \"mixed_forked\": {mixed_forked},\n  \"mixed_fallbacks\": {mixed_fallbacks},\n"
     ));
     out.push_str("  \"results\": [\n");
     for (i, m) in modes.iter().enumerate() {
@@ -120,9 +132,21 @@ fn main() {
     drop(planned);
     assert!(forked > 0, "no suffix forked — the ablation would compare whole runs to whole runs");
 
+    // The real mixed fault set: every stage's events arrive at their own
+    // rate, and the planner must still fork every suffix.
+    let mut sampler = FaultSampler::new(42, prepared.stage_events, 0, 0);
+    let mixed: Vec<FaultSpec> = (0..experiments).map(|_| sampler.sample_any()).collect();
+    let mixed_forked = plan_suffixes(&prepared, &mixed, &runner, &fork)
+        .iter()
+        .filter(|s| s.forked_at.is_some())
+        .count();
+    let mixed_fallbacks = mixed.len() - mixed_forked;
+    assert_eq!(mixed_fallbacks, 0, "{mixed_fallbacks} sample_any suffixes fell back to whole runs");
+
     println!(
         "fork_prefix ({experiments} experiments/sample, pi --points {points}, \
-         {forked} forked / {fallbacks} fallbacks)"
+         {forked} forked / {fallbacks} fallbacks; sample_any mix {mixed_forked} forked / \
+         {mixed_fallbacks} fallbacks)"
     );
 
     // Conformance spot-check at bench scale: both executors classify the
@@ -161,7 +185,8 @@ fn main() {
         modes[0].eps(),
     );
 
-    let report = json_report(samples, points, &modes, forked, fallbacks);
+    let report =
+        json_report(samples, points, &modes, forked, fallbacks, mixed_forked, mixed_fallbacks);
     std::fs::write(&out_path, &report).expect("write BENCH_fork_prefix.json");
     println!("\nwrote {out_path}");
 }

@@ -10,6 +10,20 @@
 //! becomes O(run-length + Σ suffixes) instead of O(experiments ×
 //! run-length).
 //!
+//! # The horizon sweep
+//!
+//! The planner keeps every unforked spec pending. Each step it asks the
+//! trunk's engine how far each pending spec is from firing, forks every
+//! spec that is due (or can never fire), then advances the trunk by the
+//! *minimum* safe advance over the specs still pending. Stage events
+//! arrive at very different rates, so no single injection order fits a
+//! mixed fault set; the minimum never passes any pending spec's window.
+//!
+//! [`run_campaign_forked`] streams the sweep: each suffix goes to the
+//! drive threads over a channel holding two suffixes per worker, and each
+//! driven machine comes back to the caller's thread to be classified and
+//! dropped, so memory scales with workers, not experiments.
+//!
 //! # Why the results are bit-identical
 //!
 //! Three facts compose into the conformance guarantee that
@@ -34,9 +48,9 @@
 //!
 //! The planner is conservative where it cannot be exact: fork distance is
 //! derived from [`gemfi::FireDistance`] lower bounds with a slack margin,
-//! and any spec found already armed (the trunk overshot its window) falls
-//! back to a plain whole-run restore — a perf penalty, never a wrong
-//! answer.
+//! and any spec found already armed (armed from the start, or the trunk
+//! overshot because a stage outran [`MAX_EVENTS_PER_TICK`]) falls back to
+//! a plain whole-run restore — a perf penalty, never a wrong answer.
 
 use crate::runner::{
     drive, finish, restore, watchdog_budget, ExperimentResult, PreparedWorkload, RunnerConfig,
@@ -44,20 +58,22 @@ use crate::runner::{
 use gemfi::{AbortToken, FaultConfig, FaultSpec, FireDistance, GemFiEngine};
 use gemfi_sim::{Machine, RunExit};
 use gemfi_workloads::Workload;
-use std::sync::Mutex;
+use std::sync::{mpsc, Arc, Mutex};
 
 /// Upper bound on matching stage events the guest can serve per tick, used
-/// to convert an event-distance into a safe tick advance. Deliberately
-/// generous — underestimating the rate only forks earlier than necessary,
-/// and even a violation is caught (the planner re-checks after every
-/// advance and falls back to a whole run on overshoot).
+/// to convert an event-distance into a safe tick advance. While it holds,
+/// the horizon sweep never advances the trunk past a pending spec's window.
+/// Deliberately generous — underestimating the rate only forks earlier than
+/// necessary, and even a violation is caught (every pending spec is
+/// re-checked after every advance and falls back to a whole run on
+/// overshoot).
 pub const MAX_EVENTS_PER_TICK: u64 = 16;
 
 /// Fork-at-injection tuning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ForkConfig {
-    /// Worker threads driving forked suffixes. `<= 1` runs sequentially on
-    /// the caller's thread (the bench's like-for-like ablation mode).
+    /// Worker threads driving forked suffixes. `<= 1` plans, drives and
+    /// classifies inline (the bench's like-for-like ablation mode).
     pub workers: usize,
     /// Safety margin, in stage events / ticks, kept between the fork point
     /// and the earliest point the fault could fire. Larger values fork
@@ -78,7 +94,7 @@ pub struct ForkedSuffix {
     /// Index of the experiment in the campaign's spec list.
     pub index: usize,
     /// Trunk tick the suffix forked at; `None` for a whole-run fallback
-    /// (armed-at-plan-time overshoot, or the trunk terminated first).
+    /// (armed before its fork, or the trunk terminated first).
     pub forked_at: Option<u64>,
     /// The machine to drive: engine loaded with exactly this experiment's
     /// fault, elision configured, watchdog installed.
@@ -103,79 +119,69 @@ fn safe_advance(distance: FireDistance, slack: u64) -> u64 {
     }
 }
 
-/// Plans the campaign: sprints one fault-free trunk along the shared
-/// prefix, forking each experiment's suffix shortly before its fault can
-/// fire. Experiments are visited in ascending estimated injection order so
-/// the trunk only ever moves forward; specs the trunk overshot (or that
-/// outlive it) fall back to whole-run restores.
-///
-/// The returned suffixes are in planning (injection) order; each carries
-/// its original experiment `index`.
+/// The horizon sweep (see the module docs): hands every experiment's
+/// suffix to `emit`, in fork order.
+fn plan(
+    prepared: &PreparedWorkload,
+    specs: &[FaultSpec],
+    runner: &RunnerConfig,
+    fork: &ForkConfig,
+    mut emit: impl FnMut(ForkedSuffix),
+) {
+    let budget = watchdog_budget(&prepared.checkpoint, prepared, runner);
+    let start = |faults: &[FaultSpec]| {
+        let abort = AbortToken::new();
+        restore(&prepared.checkpoint, faults, Some(runner.inject_cpu), budget, runner, &abort)
+    };
+    // Whole-run fallback: built exactly as `drive_whole_run` builds it.
+    let whole_run =
+        |index: usize| ForkedSuffix { index, forked_at: None, machine: start(&[specs[index]]) };
+    let mut trunk = start(&[]);
+    let mut pending: Vec<usize> = (0..specs.len()).collect();
+    while !pending.is_empty() {
+        let now = trunk.tick();
+        let mut horizon = u64::MAX;
+        pending.retain(|&index| {
+            let distance = trunk.hooks().fire_distance(0, now, &specs[index]);
+            match (distance, safe_advance(distance, fork.slack)) {
+                // Armed from the start, or overshot: replay it whole.
+                (FireDistance::Armed, _) => emit(whole_run(index)),
+                // Close enough to fork — or unreachable (`MAX`), in which
+                // case the fault is frozen and any fork point is exact.
+                (_, 0 | u64::MAX) => {
+                    let faults = FaultConfig::from_specs(vec![specs[index]]);
+                    let machine = trunk.fork_with(trunk.hooks().fork_with_faults(faults));
+                    emit(ForkedSuffix { index, forked_at: Some(now), machine });
+                }
+                (_, advance) => {
+                    horizon = horizon.min(advance);
+                    return true;
+                }
+            }
+            false
+        });
+        if !pending.is_empty() && trunk.run_to_tick(now.saturating_add(horizon)).is_some() {
+            // The trunk terminated before the pending specs' injection
+            // points: they replay whole.
+            pending.drain(..).for_each(|index| emit(whole_run(index)));
+        }
+    }
+}
+
+/// Plans the campaign with the horizon sweep: sprints one fault-free trunk
+/// along the shared prefix, forking each experiment's suffix shortly before
+/// its fault can fire; specs armed before their fork (or that outlive the
+/// trunk) fall back to whole-run restores. Returns the suffixes in fork
+/// order, each carrying its experiment `index` ([`run_campaign_forked`]
+/// streams them instead).
 pub fn plan_suffixes(
     prepared: &PreparedWorkload,
     specs: &[FaultSpec],
     runner: &RunnerConfig,
     fork: &ForkConfig,
 ) -> Vec<ForkedSuffix> {
-    let budget = watchdog_budget(&prepared.checkpoint, prepared, runner);
-    let mut trunk = restore(
-        &prepared.checkpoint,
-        &[],
-        Some(runner.inject_cpu),
-        budget,
-        runner,
-        &AbortToken::new(),
-    );
-
-    // Injection-order heuristic only: a bad estimate costs an overshoot
-    // fallback, never a wrong result.
-    let mut order: Vec<usize> = (0..specs.len()).collect();
-    let t0 = trunk.tick();
-    order.sort_by_key(|&i| safe_advance(trunk.hooks().fire_distance(0, t0, &specs[i]), 0));
-
     let mut out = Vec::with_capacity(specs.len());
-    let mut trunk_done = false;
-    for index in order {
-        let spec = specs[index];
-        let forked_at = loop {
-            if trunk_done {
-                break None;
-            }
-            let now = trunk.tick();
-            let distance = trunk.hooks().fire_distance(0, now, &spec);
-            if distance == FireDistance::Armed {
-                // Overshot this spec's window (ordering estimate was off, or
-                // the spec was armed from the start): replay it whole.
-                break None;
-            }
-            let advance = safe_advance(distance, fork.slack);
-            if advance == 0 || advance == u64::MAX {
-                // Close enough to fork — or unreachable (`MAX`), in which
-                // case the fault is frozen and any fork point is exact.
-                break Some(now);
-            }
-            if trunk.run_to_tick(now.saturating_add(advance)).is_some() {
-                // The trunk terminated before this spec's injection point;
-                // it and everything later replays whole.
-                trunk_done = true;
-            }
-        };
-        let machine = match forked_at {
-            Some(_) => {
-                trunk.fork_with(trunk.hooks().fork_with_faults(FaultConfig::from_specs(vec![spec])))
-            }
-            // Whole-run fallback: built exactly as `drive_whole_run` builds it.
-            None => restore(
-                &prepared.checkpoint,
-                &[spec],
-                Some(runner.inject_cpu),
-                budget,
-                runner,
-                &AbortToken::new(),
-            ),
-        };
-        out.push(ForkedSuffix { index, forked_at, machine });
-    }
+    plan(prepared, specs, runner, fork, |suffix| out.push(suffix));
     out
 }
 
@@ -195,40 +201,10 @@ pub fn drive_suffix(
 /// One driven suffix, awaiting classification.
 type Driven = (usize, Machine<GemFiEngine>, (RunExit, bool));
 
-fn drive_all(
-    suffixes: Vec<ForkedSuffix>,
-    prepared: &PreparedWorkload,
-    runner: &RunnerConfig,
-    fork: &ForkConfig,
-) -> Vec<Driven> {
-    let drive_one = |mut s: ForkedSuffix| -> Driven {
-        let driven = drive_suffix(&mut s, prepared, runner, &AbortToken::new());
-        (s.index, s.machine, driven)
-    };
-    if fork.workers <= 1 {
-        return suffixes.into_iter().map(drive_one).collect();
-    }
-    // Fan out over a shared work queue; classification stays on the caller's
-    // thread (`&dyn Workload` need not be `Sync`), so workers hand whole
-    // machines back.
-    let queue = Mutex::new(suffixes);
-    let driven = Mutex::new(Vec::new());
-    std::thread::scope(|scope| {
-        for _ in 0..fork.workers {
-            scope.spawn(|| loop {
-                let next = queue.lock().expect("queue lock").pop();
-                let Some(suffix) = next else { break };
-                let done = drive_one(suffix);
-                driven.lock().expect("result lock").push(done);
-            });
-        }
-    });
-    driven.into_inner().expect("workers joined")
-}
-
 /// Runs a whole campaign fork-at-injection style: plan, drive (optionally
-/// across [`ForkConfig::workers`] threads), classify. Results come back in
-/// experiment order and are element-wise equivalent to running
+/// across [`ForkConfig::workers`] threads) and classify as one pipeline,
+/// holding only a bounded window of machines at a time. Results come back
+/// in experiment order and are element-wise equivalent to running
 /// [`crate::runner::run_experiment`] per spec — bit-identical machine
 /// states included, which `tests/fork_prefix_conformance.rs` enforces.
 pub fn run_campaign_forked(
@@ -238,22 +214,43 @@ pub fn run_campaign_forked(
     runner: &RunnerConfig,
     fork: &ForkConfig,
 ) -> Vec<ExperimentResult> {
-    let suffixes = plan_suffixes(prepared, specs, runner, fork);
-    assemble(drive_all(suffixes, prepared, runner, fork), prepared, workload, specs)
-}
-
-/// Classifies driven machines and restores experiment order.
-fn assemble(
-    driven: Vec<Driven>,
-    prepared: &PreparedWorkload,
-    workload: &dyn Workload,
-    specs: &[FaultSpec],
-) -> Vec<ExperimentResult> {
+    let drive_one = |mut suffix: ForkedSuffix| -> Driven {
+        let driven = drive_suffix(&mut suffix, prepared, runner, &AbortToken::new());
+        (suffix.index, suffix.machine, driven)
+    };
     let origin = prepared.checkpoint.tick();
     let mut results: Vec<Option<ExperimentResult>> = specs.iter().map(|_| None).collect();
-    for (index, machine, driven) in driven {
-        let result = finish(&machine, origin, prepared, workload, specs[index], driven, None);
-        results[index] = Some(result);
+    let mut classify = |(index, machine, driven): Driven| {
+        let spec = specs[index];
+        results[index] = Some(finish(&machine, origin, prepared, workload, spec, driven, None));
+    };
+    if fork.workers <= 1 {
+        plan(prepared, specs, runner, fork, |suffix| classify(drive_one(suffix)));
+    } else {
+        // Two queued suffixes per worker keep every worker busy while the
+        // trunk advances. Classification stays here (`&dyn Workload` need
+        // not be `Sync`), so workers hand driven machines back.
+        let (work_tx, work_rx) = mpsc::sync_channel::<ForkedSuffix>(2 * fork.workers);
+        let (done_tx, done_rx) = mpsc::channel::<Driven>();
+        // Owned by the workers alone: if all die, `send` fails, not blocks.
+        let work_rx = Arc::new(Mutex::new(work_rx));
+        std::thread::scope(|scope| {
+            for _ in 0..fork.workers {
+                let (work_rx, done_tx) = (Arc::clone(&work_rx), done_tx.clone());
+                scope.spawn(move || loop {
+                    let next = work_rx.lock().expect("queue lock").recv();
+                    let Ok(suffix) = next else { break };
+                    done_tx.send(drive_one(suffix)).expect("the caller outlives its workers");
+                });
+            }
+            drop((work_rx, done_tx));
+            plan(prepared, specs, runner, fork, |suffix| {
+                work_tx.send(suffix).expect("a drive worker is running");
+                done_rx.try_iter().for_each(&mut classify);
+            });
+            drop(work_tx);
+            done_rx.iter().for_each(&mut classify);
+        });
     }
     results.into_iter().map(|r| r.expect("every planned experiment was driven")).collect()
 }
@@ -262,6 +259,7 @@ fn assemble(
 mod tests {
     use super::*;
     use crate::runner::{prepare_workload, run_experiment};
+    use crate::sampler::FaultSampler;
     use gemfi::{FaultBehavior, FaultLocation, FaultTiming};
     use gemfi_workloads::pi::MonteCarloPi;
 
@@ -279,21 +277,41 @@ mod tests {
         }
     }
 
-    #[test]
-    fn forked_campaign_matches_whole_runs() {
+    /// Runs `specs` forked with `workers` drive threads and checks every
+    /// result, in experiment order, against a per-spec whole run.
+    fn assert_matches_whole_runs(specs: &[FaultSpec], workers: usize) {
         let w = small_pi();
         let p = prepare_workload(&w).unwrap();
         let runner = RunnerConfig::default();
-        let specs = vec![late_fp_flip(&p, 100), late_fp_flip(&p, 400), late_fp_flip(&p, 50)];
-        let forked = run_campaign_forked(&p, &w, &specs, &runner, &ForkConfig::default());
+        let fork = ForkConfig { workers, ..ForkConfig::default() };
+        let forked = run_campaign_forked(&p, &w, specs, &runner, &fork);
         assert_eq!(forked.len(), specs.len());
-        for (spec, got) in specs.iter().zip(&forked) {
+        for (i, (spec, got)) in specs.iter().zip(&forked).enumerate() {
             let whole = run_experiment(&p, &w, *spec, &runner);
-            assert_eq!(got.outcome, whole.outcome);
-            assert_eq!(got.exit, whole.exit);
-            assert_eq!(got.ticks, whole.ticks);
-            assert_eq!(got.injections, whole.injections);
-            assert_eq!(got.output, whole.output);
+            let tag = format!("workers={workers} spec#{i} {spec}");
+            assert_eq!(got.spec, *spec, "{tag}: results out of experiment order");
+            assert_eq!(got.outcome, whole.outcome, "{tag}");
+            assert_eq!(got.exit, whole.exit, "{tag}");
+            assert_eq!(got.ticks, whole.ticks, "{tag}");
+            assert_eq!(got.injections, whole.injections, "{tag}");
+            assert_eq!(got.output, whole.output, "{tag}");
+        }
+    }
+
+    #[test]
+    fn forked_campaign_matches_whole_runs() {
+        let p = prepare_workload(&small_pi()).unwrap();
+        let specs = [late_fp_flip(&p, 100), late_fp_flip(&p, 400), late_fp_flip(&p, 50)];
+        assert_matches_whole_runs(&specs, 1);
+    }
+
+    #[test]
+    fn streamed_mixed_campaign_matches_whole_runs_at_any_worker_count() {
+        let p = prepare_workload(&small_pi()).unwrap();
+        let mut sampler = FaultSampler::new(42, p.stage_events, 0, 0);
+        let specs: Vec<FaultSpec> = (0..24).map(|_| sampler.sample_any()).collect();
+        for workers in [1, 3] {
+            assert_matches_whole_runs(&specs, workers);
         }
     }
 

@@ -11,11 +11,15 @@
 //! superblock caches, but a fork must come out decode-cold and
 //! translation-cold — asserted here rather than trusted.
 
-use gemfi::{AbortToken, FaultBehavior, FaultLocation, FaultSpec, FaultTiming};
-use gemfi_campaign::fork::{drive_suffix, plan_suffixes, ForkConfig};
+use gemfi::{
+    AbortToken, FaultBehavior, FaultConfig, FaultLocation, FaultSpec, FaultTiming, FireDistance,
+    GemFiEngine,
+};
+use gemfi_campaign::fork::{drive_suffix, plan_suffixes, ForkConfig, ForkedSuffix};
 use gemfi_campaign::runner::{drive_whole_run, prepare_workload_with, RunnerConfig};
-use gemfi_campaign::PreparedWorkload;
+use gemfi_campaign::{FaultSampler, PreparedWorkload};
 use gemfi_cpu::CpuKind;
+use gemfi_sim::Machine;
 use gemfi_workloads::pi::MonteCarloPi;
 use gemfi_workloads::workload_machine_config;
 
@@ -116,60 +120,102 @@ fn conformance(model: CpuKind) {
                     "{model}: no whole-run fallback — the matrix would not cover it"
                 );
                 for mut suffix in planned {
-                    let spec = specs[suffix.index];
                     let tag = format!(
                         "{model} predecode={predecode} cow={cow} elide={elide} \
                          superblock={superblock} spec#{} forked_at={:?}",
                         suffix.index, suffix.forked_at
                     );
-                    if suffix.forked_at.is_some() {
-                        // The trunk ran warm; the fork must not inherit the
-                        // (never-serialized) predecode or superblock caches.
-                        assert_eq!(
-                            suffix.machine.mem().stats().predecode,
-                            gemfi_isa::PredecodeStats::default(),
-                            "{tag}: fork must start decode-cold"
-                        );
-                        assert_eq!(
-                            suffix.machine.mem().stats().superblock,
-                            gemfi_isa::SuperblockStats::default(),
-                            "{tag}: fork must start translation-cold"
-                        );
-                    }
-                    let (fork_exit, fork_aborted) =
-                        drive_suffix(&mut suffix, &p, &runner, &AbortToken::new());
-                    let (whole, whole_exit, whole_aborted) =
-                        drive_whole_run(&p.checkpoint, &p, spec, &runner, &AbortToken::new());
-                    assert!(!fork_aborted && !whole_aborted, "{tag}");
-                    assert_eq!(fork_exit, whole_exit, "{tag}: exit differs");
-                    assert_eq!(suffix.machine.tick(), whole.tick(), "{tag}: tick differs");
-                    assert_eq!(suffix.machine.instret(), whole.instret(), "{tag}: instret differs");
-                    assert_eq!(suffix.machine.arch(), whole.arch(), "{tag}: ArchState differs");
-                    assert_eq!(
-                        suffix.machine.hooks().records(),
-                        whole.hooks().records(),
-                        "{tag}: injection records differ"
-                    );
-                    let size = whole.mem().size() as usize;
-                    assert!(
-                        suffix.machine.mem().read_slice(0, size).expect("memory")
-                            == whole.mem().read_slice(0, size).expect("memory"),
-                        "{tag}: physical memory differs"
-                    );
-                    if suffix.forked_at.is_none() {
-                        // A fallback is a whole run: it must be built with
-                        // the same knobs, so even the tick-invisible
-                        // translation counters agree.
-                        assert_eq!(
-                            suffix.machine.mem().stats().superblock,
-                            whole.mem().stats().superblock,
-                            "{tag}: fallback ran with different knobs"
-                        );
-                    }
+                    let spec = specs[suffix.index];
+                    assert_matches_whole_run(&mut suffix, &p, spec, &runner, &tag);
                 }
             }
         }
     }
+}
+
+/// Drives `suffix` and a whole run of `spec` side by side and asserts the
+/// two machines end bit-identical.
+fn assert_matches_whole_run(
+    suffix: &mut ForkedSuffix,
+    p: &PreparedWorkload,
+    spec: FaultSpec,
+    runner: &RunnerConfig,
+    tag: &str,
+) {
+    if suffix.forked_at.is_some() {
+        // The trunk ran warm; the fork must not inherit the (never-serialized)
+        // predecode or superblock caches.
+        assert_eq!(
+            suffix.machine.mem().stats().predecode,
+            gemfi_isa::PredecodeStats::default(),
+            "{tag}: fork must start decode-cold"
+        );
+        assert_eq!(
+            suffix.machine.mem().stats().superblock,
+            gemfi_isa::SuperblockStats::default(),
+            "{tag}: fork must start translation-cold"
+        );
+    }
+    let (fork_exit, fork_aborted) = drive_suffix(suffix, p, runner, &AbortToken::new());
+    let (whole, whole_exit, whole_aborted) =
+        drive_whole_run(&p.checkpoint, p, spec, runner, &AbortToken::new());
+    assert!(!fork_aborted && !whole_aborted, "{tag}");
+    assert_eq!(fork_exit, whole_exit, "{tag}: exit differs");
+    assert_eq!(suffix.machine.tick(), whole.tick(), "{tag}: tick differs");
+    assert_eq!(suffix.machine.instret(), whole.instret(), "{tag}: instret differs");
+    assert_eq!(suffix.machine.arch(), whole.arch(), "{tag}: ArchState differs");
+    assert_eq!(
+        suffix.machine.hooks().records(),
+        whole.hooks().records(),
+        "{tag}: injection records differ"
+    );
+    let size = whole.mem().size() as usize;
+    assert!(
+        suffix.machine.mem().read_slice(0, size).expect("memory")
+            == whole.mem().read_slice(0, size).expect("memory"),
+        "{tag}: physical memory differs"
+    );
+    if suffix.forked_at.is_none() {
+        // A fallback is a whole run: it must be built with the same knobs,
+        // so even the tick-invisible translation counters agree.
+        assert_eq!(
+            suffix.machine.mem().stats().superblock,
+            whole.mem().stats().superblock,
+            "{tag}: fallback ran with different knobs"
+        );
+    }
+}
+
+/// The real mixed fault set: fetch, decode, execute, memory and commit
+/// events arrive at different rates, and every spec not armed at the
+/// checkpoint must still fork (no trunk overshoot), bit-identically.
+fn mixed_population(model: CpuKind) {
+    let w = MonteCarloPi { points: 120, init_spins: 60, ..MonteCarloPi::default() };
+    let p = prepare_workload_with(&w, workload_machine_config(CpuKind::Atomic)).expect("prepares");
+    let mut sampler = FaultSampler::new(42, p.stage_events, 0, 0);
+    let specs: Vec<FaultSpec> = (0..32).map(|_| sampler.sample_any()).collect();
+    let runner = RunnerConfig { inject_cpu: model, ..RunnerConfig::default() };
+    // The planner's trunk as it stands before its first step.
+    let engine = GemFiEngine::new(FaultConfig::from_specs(Vec::new()));
+    let checkpoint = Machine::restore_with(&p.checkpoint, Some(model), None, engine);
+    let planned = plan_suffixes(&p, &specs, &runner, &ForkConfig::default());
+    assert_eq!(planned.len(), specs.len());
+    for mut suffix in planned {
+        let spec = specs[suffix.index];
+        let tag =
+            format!("{model} mixed spec#{} {spec} forked_at={:?}", suffix.index, suffix.forked_at);
+        let armed = checkpoint.hooks().fire_distance(0, checkpoint.tick(), &spec);
+        if armed != FireDistance::Armed {
+            assert!(suffix.forked_at.is_some(), "{tag}: forkable spec fell back to a whole run");
+        }
+        assert_matches_whole_run(&mut suffix, &p, spec, &runner, &tag);
+    }
+}
+
+#[test]
+fn fork_prefix_mixed_population_forks_every_unarmed_spec() {
+    mixed_population(CpuKind::O3);
+    mixed_population(CpuKind::Atomic);
 }
 
 #[test]
